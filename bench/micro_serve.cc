@@ -126,7 +126,6 @@ void BM_ScoreSingle(benchmark::State& state) {
   const ServeBenchFixture& fx = Fixture();
   serve::ServerOptions options;
   options.max_batch = 1;
-  options.max_wait_ms = 0.0;
   serve::InferenceServer server(options);
   server.LoadModel(core::AmsModel::FromState(fx.state).MoveValue())
       .Abort("bench load");
@@ -144,7 +143,6 @@ void BM_ScoreBatch(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
   serve::ServerOptions options;
   options.max_batch = batch;
-  options.max_wait_ms = 0.5;
   serve::InferenceServer server(options);
   server.LoadModel(core::AmsModel::FromState(fx.state).MoveValue())
       .Abort("bench load");

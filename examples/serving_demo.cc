@@ -7,14 +7,13 @@
 //
 // Usage: serving_demo [--seed=42]
 //
-// Environment: AMS_SERVE_BATCH (micro-batch size, default 8) and
-// AMS_SERVE_MAX_WAIT_MS (co-batching window, default 1.0) tune the batcher;
-// AMS_SERVE_PORT / AMS_SERVE_QUEUE / AMS_SERVE_DEADLINE_MS /
-// AMS_SERVE_WORKERS configure the network front (see README "Serving over
-// the network"); AMS_TELEMETRY=text prints the full metrics report
-// (including the serve/latency_ms p50/p95/p99) at exit; AMS_RUN_LEDGER=dir
-// writes a run manifest whose "components" block carries the served model
-// fingerprint.
+// Environment: AMS_SERVE_BATCH (micro-batch size, default 4) and
+// AMS_SERVE_QUEUE (admission-queue bound, default 64) tune the server;
+// AMS_SERVE_PORT / AMS_SERVE_DEADLINE_MS configure the network front (see
+// README "Serving over the network"); AMS_TELEMETRY=text prints the full
+// metrics report (including the serve/latency_ms p50/p95/p99) at exit;
+// AMS_RUN_LEDGER=dir writes a run manifest whose "components" block carries
+// the served model fingerprint.
 #include <chrono>
 #include <cstdio>
 #include <mutex>
@@ -93,9 +92,9 @@ int main(int argc, char** argv) {
   // 3. Serve it: load the artifact and score a batch of quarter blocks.
   serve::InferenceServer server;
   server.LoadArtifact(path).Abort("load artifact");
-  std::printf("server: model version %d, batch<=%d, wait %.1f ms\n",
+  std::printf("server: model version %d, batch<=%d, queue<=%d\n",
               server.model_version(), server.options().max_batch,
-              server.options().max_wait_ms);
+              server.options().max_queue);
 
   std::vector<la::Matrix> requests(16, test.x);
   auto results = server.ScoreBatch(requests);
@@ -126,17 +125,19 @@ int main(int argc, char** argv) {
   std::printf("rescored on new model; first company score %.6f\n",
               rescored.ValueOrDie()[0]);
 
-  // 5. The network front: the same server behind a loopback AMSNET1 socket
-  //    with a deliberately tiny admission queue. A burst of concurrent
-  //    closed-loop clients overruns it, so some requests come back with the
-  //    distinct kUnavailable shed status instead of hanging.
-  serve::NetServerOptions net_options;
-  net_options.max_queue = 2;
-  net_options.num_workers = 1;
-  serve::NetServer net(&server, net_options);
+  // 5. The network front: the same model behind a loopback AMSNET1 socket,
+  //    served by an inference server with a deliberately tiny admission
+  //    queue. A burst of concurrent closed-loop clients overruns it, so some
+  //    requests come back with the distinct kUnavailable shed status instead
+  //    of hanging.
+  serve::ServerOptions front_options;
+  front_options.max_queue = 2;
+  serve::InferenceServer front(front_options);
+  front.LoadArtifact(path).Abort("load artifact");
+  serve::NetServer net(&front, serve::NetServerOptions{});
   net.Start().Abort("start net server");
   std::printf("net: listening on 127.0.0.1:%d (queue=%d)\n", net.port(),
-              net_options.max_queue);
+              front_options.max_queue);
   {
     serve::NetClient client(net.port());
     auto remote = client.Score(test.x);

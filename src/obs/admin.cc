@@ -464,18 +464,19 @@ void AdminServer::HandleConnection(int fd) {
       }
     }
   }
-  ::close(fd);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --active_;
-    for (size_t i = 0; i < conn_fds_.size(); ++i) {
-      if (conn_fds_[i] == fd) {
-        conn_fds_[i] = conn_fds_.back();
-        conn_fds_.pop_back();
-        break;
-      }
+  // Close and notify under the lock: Stop() must never shut down an fd
+  // number this close recycled, and once the lock is released Stop() may
+  // observe active_ == 0 and the server be destroyed before a late notify.
+  std::lock_guard<std::mutex> lock(mu_);
+  for (size_t i = 0; i < conn_fds_.size(); ++i) {
+    if (conn_fds_[i] == fd) {
+      conn_fds_[i] = conn_fds_.back();
+      conn_fds_.pop_back();
+      break;
     }
   }
+  ::close(fd);
+  --active_;
   idle_cv_.notify_all();
 }
 

@@ -28,6 +28,7 @@ constexpr struct {
     {FaultKind::kSlowPeerRead, "slow_peer", "net_read"},
     {FaultKind::kConnDropWrite, "conn_drop", "net_write"},
     {FaultKind::kTornScrape, "torn_scrape", "admin"},
+    {FaultKind::kSlowBatch, "slow_batch", "serve"},
 };
 
 obs::Counter& InjectedCounter() {
@@ -150,6 +151,7 @@ Status FaultInjector::Configure(const std::string& spec) {
   net_read_calls_.store(0, std::memory_order_relaxed);
   net_write_calls_.store(0, std::memory_order_relaxed);
   admin_calls_.store(0, std::memory_order_relaxed);
+  batch_calls_.store(0, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -164,6 +166,7 @@ void FaultInjector::Disarm() {
   net_read_calls_.store(0, std::memory_order_relaxed);
   net_write_calls_.store(0, std::memory_order_relaxed);
   admin_calls_.store(0, std::memory_order_relaxed);
+  batch_calls_.store(0, std::memory_order_relaxed);
 }
 
 bool FaultInjector::Fire(FaultKind kind, int64_t ordinal) {

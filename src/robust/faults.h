@@ -41,11 +41,17 @@
 //                          and hang up (obs::AdminServer; scrapers must
 //                          treat short reads as failed scrapes)
 //
+// Serving kind, fired by serve::InferenceServer's batcher:
+//
+//   slow_batch@serve=N     stall the N-th batch after it leaves the
+//                          admission queue, holding the batcher busy while
+//                          the queue fills (or its deadlines expire)
+//
 // Ordinals are deterministic given single-run determinism of the call
 // sites: epoch/trial ordinals are supplied by the caller, while
-// task/write/accept/net ordinals count process-wide calls in order. Every
-// injected fault bumps the `robust/faults_injected` counter so a run that
-// silently recovered is still visible in AMS_TELEMETRY reports. Entries
+// task/write/accept/net/batch ordinals count process-wide calls in order.
+// Every injected fault bumps the `robust/faults_injected` counter so a run
+// that silently recovered is still visible in AMS_TELEMETRY reports. Entries
 // may be separated by ';' or ',' (the latter nests more easily inside
 // other comma-free env grammars).
 #ifndef AMS_ROBUST_FAULTS_H_
@@ -75,6 +81,7 @@ enum class FaultKind {
   kSlowPeerRead,
   kConnDropWrite,
   kTornScrape,
+  kSlowBatch,
 };
 
 /// The key each kind expects after the '@'; used for parse validation and
@@ -159,6 +166,10 @@ class FaultInjector {
   /// (torn_scrape@admin).
   bool OnAdminScrape() { return FireCounted(FaultKind::kTornScrape, &admin_calls_); }
 
+  /// Called once per batch the serving batcher takes off its queue; true =
+  /// stall that batch (slow_batch@serve).
+  bool OnServeBatch() { return FireCounted(FaultKind::kSlowBatch, &batch_calls_); }
+
   /// Throws InjectedFault when a task_throw fault matches this (process-wide
   /// ordinal-counted) task entry.
   void MaybeThrowTask();
@@ -184,6 +195,7 @@ class FaultInjector {
   std::atomic<int64_t> net_read_calls_{0};
   std::atomic<int64_t> net_write_calls_{0};
   std::atomic<int64_t> admin_calls_{0};
+  std::atomic<int64_t> batch_calls_{0};
 };
 
 }  // namespace ams::robust

@@ -1,15 +1,19 @@
 #include "serve/net_server.h"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
 
+#include "la/matrix.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "robust/faults.h"
 #include "serve/env_util.h"
 #include "serve/framing.h"
@@ -35,31 +39,13 @@ bool AdminScrapeFault() {
   return robust::FaultInjector::Get().OnAdminScrape();
 }
 
-/// Flight-recorder label for a finished score request.
-const char* OutcomeName(const Status& status) {
-  switch (status.code()) {
-    case StatusCode::kOk:
-      return "ok";
-    case StatusCode::kUnavailable:
-      return "shed";
-    case StatusCode::kDeadlineExceeded:
-      return "deadline";
-    default:
-      return "error";
-  }
-}
-
 }  // namespace
 
 NetServerOptions NetServerOptions::FromEnv() {
   NetServerOptions options;
   options.port = internal::EnvInt("AMS_SERVE_PORT", options.port, 0, 65535);
-  options.max_queue =
-      internal::EnvInt("AMS_SERVE_QUEUE", options.max_queue, 1, 1 << 20);
   options.default_deadline_ms = internal::EnvInt(
       "AMS_SERVE_DEADLINE_MS", options.default_deadline_ms, 0, 1 << 30);
-  options.num_workers =
-      internal::EnvInt("AMS_SERVE_WORKERS", options.num_workers, 1, 256);
   return options;
 }
 
@@ -67,25 +53,16 @@ class NetServer::Metrics {
  public:
   Metrics() {
     auto& reg = obs::MetricsRegistry::Get();
-    requests_shed = &reg.GetCounter("serve/requests", {{"outcome", "shed"}});
-    requests_deadline =
-        &reg.GetCounter("serve/requests", {{"outcome", "deadline"}});
     accepted = &reg.GetCounter("serve/net_accepted");
     decode_errors = &reg.GetCounter("serve/net_decode_errors");
-    shed_rate = &reg.GetGauge("serve/shed_rate");
     connections = &reg.GetGauge("serve/net_connections");
-    queue_depth = &reg.GetGauge("serve/net_queue_depth");
     latency_ms = &reg.GetHistogram("serve/net_latency_ms",
                                    obs::Histogram::ExponentialBounds());
   }
 
-  obs::Counter* requests_shed;
-  obs::Counter* requests_deadline;
   obs::Counter* accepted;
   obs::Counter* decode_errors;
-  obs::Gauge* shed_rate;
   obs::Gauge* connections;
-  obs::Gauge* queue_depth;
   obs::Histogram* latency_ms;
 };
 
@@ -147,15 +124,11 @@ Status NetServer::Start() {
   started_ = true;
   stopping_.store(false, std::memory_order_release);
 
-  workers_.reserve(options_.num_workers);
-  for (int i = 0; i < options_.num_workers; ++i) {
-    workers_.emplace_back(&NetServer::WorkerLoop, this);
-  }
   accept_thread_ = std::thread(&NetServer::AcceptLoop, this);
 
   AMS_LOG(Info) << "net server listening on 127.0.0.1:" << port()
-                << " (queue=" << options_.max_queue
-                << ", workers=" << options_.num_workers
+                << " (queue=" << inference_->options().max_queue
+                << ", batch=" << inference_->options().max_batch
                 << ", default_deadline_ms=" << options_.default_deadline_ms
                 << ")";
 
@@ -185,46 +158,25 @@ void NetServer::Stop() {
   ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
 
-  // 2. Drain: admissions now answer kUnavailable immediately (stopping_),
-  //    so the queue only shrinks. Wait until workers finished everything
-  //    admitted before the flag flipped — those still get real responses.
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    drain_cv_.wait(lock, [&] { return queue_.empty() && in_flight_ == 0; });
-  }
-
-  // 3. Hang up: unblock every reader and wait for them to exit.
-  {
-    std::unique_lock<std::mutex> lock(conns_mu_);
-    for (const auto& weak : conns_) {
-      if (auto conn = weak.lock()) conn->ShutDown();
-    }
-    readers_cv_.wait(lock, [&] { return active_readers_ == 0; });
-    conns_.clear();
-  }
-
-  // 4. Stop the workers.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    worker_stop_ = true;
-  }
-  queue_cv_.notify_all();
-  for (auto& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
+  // 2. Stop reading: every reader sees EOF at its next read and exits, so
+  //    nothing new is admitted. Write sides stay open: each connection is
+  //    closed by its last owner — its reader or the callback of its last
+  //    admitted request — after that request's response is written.
+  std::unique_lock<std::mutex> lock(conns_mu_);
+  for (Conn* conn : conns_) ::shutdown(conn->fd, SHUT_RD);
+  conns_cv_.wait(lock, [&] { return conns_.empty(); });
+  lock.unlock();
 
   ::close(listen_fd_);
   listen_fd_ = -1;
   started_ = false;
-  // 5. The admin plane goes last: scrapes during the drain above still see
+  // 3. The admin plane goes last: scrapes during the drain above still see
   //    live (and internally consistent) counters.
   if (admin_ != nullptr) {
     admin_->Stop();
     admin_.reset();
   }
-  AMS_LOG(Info) << "net server stopped (lifetime shed rate "
-                << metrics_->shed_rate->value() << ")";
+  AMS_LOG(Info) << "net server stopped";
 }
 
 void NetServer::AcceptLoop() {
@@ -250,17 +202,31 @@ void NetServer::AcceptLoop() {
       ::close(client_fd);
       continue;
     }
-    auto conn = std::make_shared<Conn>(client_fd);
+    // Responses are single small writes, often pipelined: never hold one
+    // back for the client's delayed ACK (Nagle).
+    const int one = 1;
+    ::setsockopt(client_fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    std::shared_ptr<Conn> conn(new Conn(client_fd),
+                               [this](Conn* c) { ReleaseConn(c); });
     {
       std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_.push_back(conn);
-      ++active_readers_;
-      metrics_->connections->Set(static_cast<double>(active_readers_));
+      conns_.push_back(conn.get());
+      metrics_->connections->Set(static_cast<double>(conns_.size()));
     }
-    // Detached: lifetime is accounted for by active_readers_, which Stop
-    // waits on after shutting every connection down.
+    // Detached: lifetime is accounted for by conns_, which Stop waits on.
     std::thread(&NetServer::ReaderLoop, this, std::move(conn)).detach();
   }
+}
+
+void NetServer::ReleaseConn(Conn* conn) {
+  // Close and notify under the lock: Stop must never shut down a recycled
+  // fd number, and once the lock is released Stop may return and this
+  // server be destroyed (this runs on a detached reader or the batcher).
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  conns_.erase(std::find(conns_.begin(), conns_.end(), conn));
+  delete conn;
+  metrics_->connections->Set(static_cast<double>(conns_.size()));
+  conns_cv_.notify_all();
 }
 
 void NetServer::ReaderLoop(std::shared_ptr<Conn> conn) {
@@ -295,16 +261,8 @@ void NetServer::ReaderLoop(std::shared_ptr<Conn> conn) {
 
     if (!HandleFrame(conn, std::move(body), arrival, net_faults.torn)) break;
   }
-  conn->ShutDown();
-  {
-    // Notify under the lock: Stop's wait cannot observe the new count and
-    // destroy this object until the lock is released, after which this
-    // (detached) thread touches no member again.
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    --active_readers_;
-    metrics_->connections->Set(static_cast<double>(active_readers_));
-    readers_cv_.notify_all();
-  }
+  // Dropping `conn` here closes the connection unless admitted requests
+  // still hold it; then the last of their callbacks closes it.
 }
 
 bool NetServer::HandleFrame(const std::shared_ptr<Conn>& conn,
@@ -345,115 +303,42 @@ bool NetServer::HandleFrame(const std::shared_ptr<Conn>& conn,
     return false;
   }
 
-  Admitted request;
-  request.conn = conn;
-  request.request_id = frame.request_id;
-  request.arrival = arrival;
   const uint32_t deadline_ms =
       frame.deadline_ms != 0
           ? frame.deadline_ms
           : static_cast<uint32_t>(options_.default_deadline_ms);
-  request.has_deadline = deadline_ms != 0;
-  request.deadline = arrival + std::chrono::milliseconds(deadline_ms);
-  request.features = la::Matrix(static_cast<int>(frame.rows),
-                                static_cast<int>(frame.cols));
-  std::memcpy(request.features.data(), frame.payload.data(),
+  const Clock::time_point deadline =
+      deadline_ms != 0 ? arrival + std::chrono::milliseconds(deadline_ms)
+                       : Clock::time_point::max();
+  la::Matrix features(static_cast<int>(frame.rows),
+                      static_cast<int>(frame.cols));
+  std::memcpy(features.data(), frame.payload.data(),
               frame.payload.size() * sizeof(double));
-
-  // --- Admission control ---
-  if (request.has_deadline && Clock::now() >= request.deadline) {
-    RecordShedDecision(false);
-    metrics_->requests_deadline->Increment();
-    FinishScoreRequest(request,
-                       Status::DeadlineExceeded(
-                           "deadline of " + std::to_string(deadline_ms) +
-                           "ms expired before admission"),
-                       {});
-    return true;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const bool full =
-        queue_.size() >= static_cast<size_t>(options_.max_queue);
-    if (!stopping_.load(std::memory_order_acquire) && !full) {
-      queue_.push_back(std::move(request));
-      metrics_->queue_depth->Set(static_cast<double>(queue_.size()));
-      RecordShedDecision(false);
-      queue_cv_.notify_one();
-      return true;
-    }
-  }
-  // SHED: full queue (or shutdown in progress). A clean, distinct Status —
-  // the one response an overloaded server can always afford.
-  RecordShedDecision(true);
-  metrics_->requests_shed->Increment();
-  FinishScoreRequest(
-      request,
-      Status::Unavailable(stopping_.load(std::memory_order_acquire)
-                              ? "server shutting down"
-                              : "overloaded: dispatch queue at limit " +
-                                    std::to_string(options_.max_queue)),
-      {});
+  // The request's root span: its queue/batch_form/compute phases parent
+  // under it on the batcher thread.
+  AMS_TRACE_SPAN("serve/request");
+  inference_->Admit(
+      std::move(features), deadline,
+      [this, conn, request_id = frame.request_id,
+       arrival](Result<std::vector<double>> scores) {
+        FinishScoreRequest(conn, request_id, arrival, scores);
+      });
   return true;
 }
 
-void NetServer::WorkerLoop() {
-  for (;;) {
-    Admitted request;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      queue_cv_.wait(lock, [&] { return worker_stop_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (worker_stop_) return;
-        continue;
-      }
-      request = std::move(queue_.front());
-      queue_.pop_front();
-      metrics_->queue_depth->Set(static_cast<double>(queue_.size()));
-      ++in_flight_;
-    }
-
-    // Pickup-time deadline check: queue wait may have eaten the budget. An
-    // expired request is answered, never scored — scoring it anyway is how
-    // overloaded servers melt down.
-    if (request.has_deadline && Clock::now() >= request.deadline) {
-      metrics_->requests_deadline->Increment();
-      FinishScoreRequest(request,
-                         Status::DeadlineExceeded(
-                             "deadline expired in queue after " +
-                             std::to_string(MsSince(request.arrival)) + "ms"),
-                         {});
-    } else {
-      // Blocks on the micro-batcher; InferenceServer counts ok/error.
-      auto scores = inference_->Score(request.features);
-      if (scores.ok()) {
-        FinishScoreRequest(request, Status::OK(), scores.ValueOrDie());
-      } else {
-        FinishScoreRequest(request, scores.status(), {});
-      }
-    }
-
-    bool drained;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      drained = queue_.empty() && in_flight_ == 0;
-    }
-    if (drained) drain_cv_.notify_all();
-  }
-}
-
-void NetServer::FinishScoreRequest(const Admitted& request,
-                                   const Status& status,
-                                   const std::vector<double>& values) {
-  SendResponse(request.conn, FrameType::kScoreResponse, request.request_id,
-               status, values);
-  const double ms = MsSince(request.arrival);
+void NetServer::FinishScoreRequest(
+    const std::shared_ptr<Conn>& conn, uint64_t request_id,
+    Clock::time_point arrival, const Result<std::vector<double>>& scores) {
+  static const std::vector<double> kNoValues;
+  SendResponse(conn, FrameType::kScoreResponse, request_id, scores.status(),
+               scores.ok() ? scores.ValueOrDie() : kNoValues);
+  const double ms = MsSince(arrival);
   metrics_->latency_ms->Observe(ms);
   // Flight-recorder payload: a = request_id, b = latency_us; text = the
   // outcome — a crash dump ends with exactly what the server last answered.
   obs::FlightRecorder::Get().Record(obs::FlightEventKind::kServeOutcome,
-                                    OutcomeName(status), request.request_id,
+                                    RequestOutcome(scores.status()),
+                                    request_id,
                                     static_cast<uint64_t>(ms * 1000.0));
 }
 
@@ -471,15 +356,6 @@ void NetServer::SendResponse(const std::shared_ptr<Conn>& conn,
   std::lock_guard<std::mutex> lock(conn->write_mu);
   if (!conn->open.load(std::memory_order_acquire)) return;
   if (!WriteBytes(conn->fd, wire).ok()) conn->ShutDown();
-}
-
-void NetServer::RecordShedDecision(bool shed) {
-  const uint64_t total = decisions_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const uint64_t sheds =
-      shed ? sheds_.fetch_add(1, std::memory_order_relaxed) + 1
-           : sheds_.load(std::memory_order_relaxed);
-  metrics_->shed_rate->Set(static_cast<double>(sheds) /
-                           static_cast<double>(total));
 }
 
 }  // namespace ams::serve

@@ -1,35 +1,34 @@
 // Deadline-aware network front for the in-process InferenceServer: a
 // loopback TCP socket server speaking the AMSNET1 frame format
-// (serve/framing.h) with real admission control, so the serving edge
-// degrades gracefully under abuse instead of falling over.
+// (serve/framing.h), so the serving edge degrades gracefully under abuse
+// instead of falling over.
 //
-// Architecture — three thread roles around one bounded dispatch queue:
+// Architecture — one queue, two thread roles per scored request:
 //
 //   accept thread      accepts connections (conn_drop@accept injection
-//                      point) and spawns one reader per connection
+//                      point), sets TCP_NODELAY so a pipelined response is
+//                      never held for the client's delayed ACK, and spawns
+//                      one reader per connection
 //   reader threads     read frames (torn_frame/slow_peer@net_read
-//                      injection points), decode, and run ADMISSION:
+//                      injection points) and decode them:
 //                        * decode failure -> error response, connection
 //                          closed (framing is unrecoverable after garbage)
-//                        * deadline already expired (a slow peer dribbled
-//                          the frame in) -> deadline response, never queued
-//                        * dispatch queue at AMS_SERVE_QUEUE -> SHED: an
-//                          immediate kUnavailable response, never queued
-//   worker threads     pick admitted requests up, re-check the deadline at
-//                      pickup (queue wait may have expired it -> deadline
-//                      response, never scored), then block on
-//                      InferenceServer::Score — concurrent workers are
-//                      what the batcher co-batches
+//                        * info request -> answered inline
+//                        * score request -> InferenceServer::Admit, with a
+//                          completion callback that writes the response
+//   batcher thread     (InferenceServer's) scores admitted requests and runs
+//                      their callbacks
 //
-// Every response write passes the conn_drop@net_write injection point.
+// Admission — deadline at arrival, the AMS_SERVE_QUEUE bound and shedding,
+// the deadline re-check at batch formation — and the exactly-once
+// serve/requests{outcome=ok|error|shed|deadline} accounting live in the
+// one admission point, InferenceServer (serve/server.h):
 //
-// Admission-control state machine (per score request):
-//
-//       read frame ──decode ok──> admission check
+//       read frame ──decode ok──> Admit
 //         │                         │  queue full ──────> SHED (kUnavailable)
 //         │ decode error            │  deadline expired ─> DEADLINE
 //         v                         v
-//       ERROR + close             queued ──pickup──> deadline re-check
+//       ERROR + close             queued ──formed──> deadline re-check
 //                                                      │ expired ─> DEADLINE
 //                                                      v
 //                                                    scored -> OK | ERROR
@@ -37,16 +36,13 @@
 // Shedding and deadlines are *answered*, not dropped: the client always
 // gets a well-formed frame carrying a distinct Status (kUnavailable /
 // kDeadlineExceeded), so a closed-loop client never hangs on an
-// overloaded server.
+// overloaded server. Every response write passes the conn_drop@net_write
+// injection point.
 //
-// Observability: the serve/requests{outcome=...} counter family gains
-// shed and deadline outcomes at this layer (ok and error are counted by
-// the InferenceServer underneath — exactly one outcome per request);
-// serve/shed_rate gauge (lifetime shed fraction of score requests, the
-// SLO hook: AMS_SLO="serve/shed_rate:<0.2"); serve/net_connections and
-// serve/net_queue_depth gauges; serve/net_accepted and
-// serve/net_decode_errors counters; serve/net_latency_ms histogram
-// (frame arrival to response written, all outcomes).
+// Observability (this layer): serve/net_connections gauge;
+// serve/net_accepted and serve/net_decode_errors counters;
+// serve/net_latency_ms histogram (frame arrival to response written, all
+// outcomes); one serve_outcome flight-recorder event per score response.
 #ifndef AMS_SERVE_NET_SERVER_H_
 #define AMS_SERVE_NET_SERVER_H_
 
@@ -54,14 +50,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "la/matrix.h"
 #include "obs/admin.h"
 #include "serve/framing.h"
 #include "serve/server.h"
@@ -73,22 +67,15 @@ struct NetServerOptions {
   /// TCP port to bind on 127.0.0.1 (AMS_SERVE_PORT); 0 = kernel-assigned,
   /// read the result from NetServer::port().
   int port = 0;
-  /// Bound on requests admitted but not yet picked up (AMS_SERVE_QUEUE).
-  /// Admissions beyond it are shed with kUnavailable.
-  int max_queue = 64;
   /// Deadline applied to requests that carry deadline_ms=0
   /// (AMS_SERVE_DEADLINE_MS); 0 = no default deadline.
   int default_deadline_ms = 0;
-  /// Dispatcher threads blocking on InferenceServer::Score
-  /// (AMS_SERVE_WORKERS). Concurrent workers are what the micro-batcher
-  /// packs into one Predict call.
-  int num_workers = 2;
   /// listen(2) backlog.
   int backlog = 64;
 
-  /// Reads AMS_SERVE_PORT / AMS_SERVE_QUEUE / AMS_SERVE_DEADLINE_MS /
-  /// AMS_SERVE_WORKERS, keeping defaults for unset values and logging one
-  /// AMS_LOG warning per unparseable one.
+  /// Reads AMS_SERVE_PORT / AMS_SERVE_DEADLINE_MS, keeping defaults for
+  /// unset values and logging one AMS_LOG warning per unparseable one. The
+  /// admission-queue bound (AMS_SERVE_QUEUE) is the InferenceServer's.
   static NetServerOptions FromEnv();
 };
 
@@ -99,18 +86,18 @@ class NetServer {
   /// FailedPrecondition responses).
   explicit NetServer(InferenceServer* inference,
                      NetServerOptions options = NetServerOptions::FromEnv());
-  /// Stops (drains admitted requests with responses, joins every thread).
+  /// Stops (answers every admitted request, then closes every connection).
   ~NetServer();
 
   NetServer(const NetServer&) = delete;
   NetServer& operator=(const NetServer&) = delete;
 
-  /// Binds, listens, and starts the accept + worker threads.
+  /// Binds, listens, and starts the accept thread.
   Status Start();
 
-  /// Graceful shutdown: stop admitting (new score requests are answered
-  /// kUnavailable), drain the dispatch queue through the workers, then
-  /// close every connection and join all threads. Idempotent.
+  /// Graceful shutdown: stop accepting, stop reading (so nothing new is
+  /// admitted), wait until every admitted request has been answered over
+  /// its still-writable connection, then close them all. Idempotent.
   void Stop();
 
   /// The bound port (valid after Start), 0 before.
@@ -127,10 +114,12 @@ class NetServer {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// One live connection. The fd is shut down (unblocking reader and
+  /// One live connection, shared by its reader and the callbacks of its
+  /// admitted requests. The fd is shut down (unblocking the reader and
   /// failing writers) wherever the connection dies, but only closed by the
-  /// destructor — after every thread holding the shared_ptr let go — so an
-  /// fd number can never be recycled under a concurrent writer.
+  /// destructor — once the reader and every pending response let go — so
+  /// an fd number can never be recycled under a concurrent writer, and a
+  /// response admitted before Stop is still written.
   struct Conn {
     explicit Conn(int fd) : fd(fd) {}
     ~Conn();
@@ -141,22 +130,14 @@ class NetServer {
     std::atomic<bool> open{true};
   };
 
-  struct Admitted {
-    std::shared_ptr<Conn> conn;
-    uint64_t request_id = 0;
-    la::Matrix features;
-    Clock::time_point arrival;
-    Clock::time_point deadline;
-    bool has_deadline = false;
-  };
-
   void AcceptLoop();
   void ReaderLoop(std::shared_ptr<Conn> conn);
-  void WorkerLoop();
+  /// Deleter of every Conn: closes it and wakes Stop's drain.
+  void ReleaseConn(Conn* conn);
 
   /// Handles one decoded frame on the reader thread: info requests are
-  /// answered inline; score requests go through admission. Returns false
-  /// when the connection must close.
+  /// answered inline; score requests are admitted. Returns false when the
+  /// connection must close.
   bool HandleFrame(const std::shared_ptr<Conn>& conn, std::string body,
                    Clock::time_point arrival, bool torn);
 
@@ -166,9 +147,11 @@ class NetServer {
                     uint64_t request_id, const Status& status,
                     const std::vector<double>& values);
 
-  void FinishScoreRequest(const Admitted& request, const Status& status,
-                          const std::vector<double>& values);
-  void RecordShedDecision(bool shed);
+  /// Completion callback of a score request: writes the response and
+  /// records its latency and flight-recorder outcome.
+  void FinishScoreRequest(const std::shared_ptr<Conn>& conn,
+                          uint64_t request_id, Clock::time_point arrival,
+                          const Result<std::vector<double>>& scores);
 
   InferenceServer* const inference_;
   const NetServerOptions options_;
@@ -178,28 +161,15 @@ class NetServer {
   bool started_ = false;
   std::atomic<bool> stopping_{false};
 
-  std::mutex mu_;  // guards queue_, in_flight_, worker_stop_
-  std::condition_variable queue_cv_;  // workers wait here
-  std::condition_variable drain_cv_;  // Stop waits for queue + in-flight
-  std::deque<Admitted> queue_;
-  int in_flight_ = 0;
-  bool worker_stop_ = false;
-
   std::mutex conns_mu_;
-  std::vector<std::weak_ptr<Conn>> conns_;
-  std::condition_variable readers_cv_;
-  int active_readers_ = 0;  // guarded by conns_mu_
+  std::condition_variable conns_cv_;  // Stop waits for conns_ to empty
+  std::vector<Conn*> conns_;          // live connections
 
   std::thread accept_thread_;
-  std::vector<std::thread> workers_;
 
   // Live introspection plane (AMS_ADMIN_PORT); started with the server,
-  // stopped after the 4-phase drain so operators can watch a shutdown.
+  // stopped after the drain so operators can watch a shutdown.
   std::unique_ptr<obs::AdminServer> admin_;
-
-  // Cumulative admission decisions for the shed-rate gauge.
-  std::atomic<uint64_t> decisions_{0};
-  std::atomic<uint64_t> sheds_{0};
 
   // Cached instruments (see class comment for the names).
   class Metrics;

@@ -1,15 +1,16 @@
 #include "serve/server.h"
 
-#include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
+#include <thread>
 #include <utility>
 
 #include "data/features.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "robust/faults.h"
 #include "serve/artifact.h"
 #include "serve/env_util.h"
 #include "util/logging.h"
@@ -18,32 +19,62 @@ namespace ams::serve {
 
 namespace {
 
-using internal::EnvDouble;
 using internal::EnvInt;
 
-using Clock = std::chrono::steady_clock;
+using Clock = InferenceServer::Clock;
+
+/// How long slow_batch@serve stalls a batch. Long enough for a test to
+/// fill or expire the queue behind it, short enough not to slow the suite.
+constexpr int kSlowBatchStallMs = 300;
+
+double MsBetween(Clock::time_point from, Clock::time_point to) {
+  return std::chrono::duration<double, std::milli>(to - from).count();
+}
+
+/// serve/requests outcome labels, indexed by OutcomeIndex.
+constexpr const char* kOutcomes[] = {"ok", "error", "shed", "deadline"};
+
+size_t OutcomeIndex(const Status& status) {
+  switch (status.code()) {
+    case StatusCode::kOk:
+      return 0;
+    case StatusCode::kUnavailable:
+      return 2;
+    case StatusCode::kDeadlineExceeded:
+      return 3;
+    default:
+      return 1;
+  }
+}
 
 }  // namespace
 
 ServerOptions ServerOptions::FromEnv() {
   ServerOptions options;
   options.max_batch = EnvInt("AMS_SERVE_BATCH", options.max_batch, 1, 4096);
-  options.max_wait_ms =
-      EnvDouble("AMS_SERVE_MAX_WAIT_MS", options.max_wait_ms, 0.0, 60000.0);
+  options.max_queue =
+      EnvInt("AMS_SERVE_QUEUE", options.max_queue, 1, 1 << 20);
   return options;
+}
+
+const char* RequestOutcome(const Status& status) {
+  return kOutcomes[OutcomeIndex(status)];
 }
 
 InferenceServer::InferenceServer(ServerOptions options)
     : options_(options) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
-  requests_ok_ = &registry.GetCounter("serve/requests", {{"outcome", "ok"}});
-  requests_error_ =
-      &registry.GetCounter("serve/requests", {{"outcome", "error"}});
+  for (size_t i = 0; i < std::size(kOutcomes); ++i) {
+    requests_[i] =
+        &registry.GetCounter("serve/requests", {{"outcome", kOutcomes[i]}});
+  }
   batches_ = &registry.GetCounter("serve/batches");
   reloads_ = &registry.GetCounter("serve/reloads");
   reload_checks_ = &registry.GetCounter("serve/reload_checks");
   reload_errors_ = &registry.GetCounter("serve/reload_errors");
   queue_depth_ = &registry.GetGauge("serve/queue_depth");
+  net_queue_depth_ = &registry.GetGauge("serve/net_queue_depth");
+  shed_rate_ = &registry.GetGauge("serve/shed_rate");
   model_version_gauge_ = &registry.GetGauge("serve/model_version");
   batch_size_ = &registry.GetHistogram(
       "serve/batch_size", obs::Histogram::ExponentialBounds(1.0, 2.0, 13));
@@ -183,130 +214,176 @@ bool InferenceServer::model_shape(int* rows, int* cols) const {
   return true;
 }
 
-std::future<Result<std::vector<double>>> InferenceServer::Admit(
-    const la::Matrix& features, Status* rejected) {
-  std::shared_ptr<const LoadedModel> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(model_mu_);
-    snapshot = model_;
-  }
-  if (snapshot == nullptr) {
-    *rejected = Status::FailedPrecondition("no model loaded");
-    requests_error_->Increment();
-    return {};
-  }
-  const core::AmsModel& model = snapshot->model;
-  if (features.rows() != model.num_companies() ||
-      features.cols() != model.num_features()) {
-    *rejected = Status::InvalidArgument(
-        "request shape " + std::to_string(features.rows()) + "x" +
-        std::to_string(features.cols()) + " does not match model " +
-        std::to_string(model.num_companies()) + "x" +
-        std::to_string(model.num_features()));
-    requests_error_->Increment();
-    return {};
-  }
-  Pending pending;
-  pending.features = &features;
-  pending.model = std::move(snapshot);
-  pending.admitted = Clock::now();
-  // The caller's innermost span (Score/ScoreBatch's serve/request) becomes
-  // the parent of this request's phase spans on the batcher thread.
-  pending.trace = obs::CurrentTraceContext();
-  std::future<Result<std::vector<double>>> future =
-      pending.promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (stopping_) {
-      *rejected = Status::FailedPrecondition("server is shutting down");
-      requests_error_->Increment();
-      return {};
-    }
-    queue_.push_back(std::move(pending));
-    queue_depth_->Set(static_cast<double>(queue_.size()));
-    // Notify under the lock: once it is released the batcher may serve
-    // this request and the server may be destroyed before a late notify.
-    queue_cv_.notify_one();
-  }
-  return future;
+void InferenceServer::Admit(la::Matrix features, Clock::time_point deadline,
+                            Callback done) {
+  std::vector<Pending> request(1);
+  request[0].owned = std::move(features);
+  request[0].deadline = deadline;
+  request[0].done = std::move(done);
+  Enqueue(std::move(request));
 }
 
 Result<std::vector<double>> InferenceServer::Score(
     const la::Matrix& features) {
   AMS_TRACE_SPAN("serve/request");
-  Status rejected;
-  std::future<Result<std::vector<double>>> future = Admit(features, &rejected);
-  if (!future.valid()) return rejected;
-  return future.get();
+  return std::move(ScoreBlocks({&features})[0]);
 }
 
 std::vector<Result<std::vector<double>>> InferenceServer::ScoreBatch(
     const std::vector<la::Matrix>& blocks) {
   AMS_TRACE_SPAN("serve/request");
-  std::vector<Status> rejected(blocks.size());
-  std::vector<std::future<Result<std::vector<double>>>> futures;
-  futures.reserve(blocks.size());
+  std::vector<const la::Matrix*> lent;
+  lent.reserve(blocks.size());
+  for (const la::Matrix& block : blocks) lent.push_back(&block);
+  return ScoreBlocks(lent);
+}
+
+std::vector<Result<std::vector<double>>> InferenceServer::ScoreBlocks(
+    const std::vector<const la::Matrix*>& blocks) {
+  std::vector<Result<std::vector<double>>> results(
+      blocks.size(), Status::Internal("request was never answered"));
+  std::mutex mu;
+  std::condition_variable answered;
+  size_t pending = blocks.size();
+  std::vector<Pending> requests(blocks.size());
   for (size_t i = 0; i < blocks.size(); ++i) {
-    futures.push_back(Admit(blocks[i], &rejected[i]));
+    requests[i].lent = blocks[i];
+    requests[i].done = [&, i](Result<std::vector<double>> result) {
+      // Notify under the lock: once it is released this frame may unwind.
+      std::lock_guard<std::mutex> lock(mu);
+      results[i] = std::move(result);
+      if (--pending == 0) answered.notify_all();
+    };
   }
-  std::vector<Result<std::vector<double>>> results;
-  results.reserve(blocks.size());
-  for (size_t i = 0; i < blocks.size(); ++i) {
-    if (futures[i].valid()) {
-      results.push_back(futures[i].get());
-    } else {
-      results.push_back(rejected[i]);
-    }
-  }
+  Enqueue(std::move(requests));
+  std::unique_lock<std::mutex> lock(mu);
+  answered.wait(lock, [&] { return pending == 0; });
   return results;
 }
 
+void InferenceServer::Enqueue(std::vector<Pending> requests) {
+  if (requests.empty()) return;
+  std::shared_ptr<const LoadedModel> snapshot;
+  {
+    std::lock_guard<std::mutex> lock(model_mu_);
+    snapshot = model_;
+  }
+  // The caller's innermost span (Score/ScoreBatch's serve/request, or the
+  // network reader's) becomes the parent of the phase spans on the batcher.
+  const obs::TraceContext trace = obs::CurrentTraceContext();
+  std::vector<std::pair<Pending*, Status>> rejected;
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    const Clock::time_point now = Clock::now();
+    for (Pending& request : requests) {
+      request.model = snapshot;
+      request.admitted = now;
+      request.trace = trace;
+      const la::Matrix& features = request.features();
+      Status status;
+      ++admissions_;
+      if (stopping_) {
+        status = Status::FailedPrecondition("server is shutting down");
+      } else if (snapshot == nullptr) {
+        status = Status::FailedPrecondition("no model loaded");
+      } else if (features.rows() != snapshot->model.num_companies() ||
+                 features.cols() != snapshot->model.num_features()) {
+        status = Status::InvalidArgument(
+            "request shape " + std::to_string(features.rows()) + "x" +
+            std::to_string(features.cols()) + " does not match model " +
+            std::to_string(snapshot->model.num_companies()) + "x" +
+            std::to_string(snapshot->model.num_features()));
+      } else if (now >= request.deadline) {
+        // A slow peer dribbled the frame in: dead on arrival.
+        status = Status::DeadlineExceeded("deadline expired before admission");
+      } else if (queue_.size() >= static_cast<size_t>(options_.max_queue)) {
+        // SHED: a clean, distinct status — the one response an overloaded
+        // server can always afford.
+        ++sheds_;
+        status = Status::Unavailable("overloaded: admission queue at limit " +
+                                     std::to_string(options_.max_queue));
+      } else {
+        queue_.push_back(std::move(request));
+        continue;
+      }
+      rejected.emplace_back(&request, std::move(status));
+    }
+    shed_rate_->Set(static_cast<double>(sheds_) /
+                    static_cast<double>(admissions_));
+    PublishQueueDepth();
+    // Notify under the lock: once it is released the batcher may serve
+    // these requests and the server may be destroyed before a late notify.
+    if (rejected.size() < requests.size()) queue_cv_.notify_one();
+  }
+  for (auto& [request, status] : rejected) Finish(*request, std::move(status));
+}
+
+void InferenceServer::Finish(Pending& request,
+                             Result<std::vector<double>> result) {
+  requests_[OutcomeIndex(result.status())]->Increment();
+  request.done(std::move(result));
+}
+
+void InferenceServer::PublishQueueDepth() {
+  const double depth = static_cast<double>(queue_.size());
+  queue_depth_->Set(depth);
+  net_queue_depth_->Set(depth);
+}
+
 void InferenceServer::BatchLoop() {
+  auto& injector = robust::FaultInjector::Get();
+  const size_t max_batch = static_cast<size_t>(options_.max_batch);
   std::unique_lock<std::mutex> lock(queue_mu_);
   for (;;) {
     queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
     if (queue_.empty()) return;  // stopping_ and fully drained
 
-    // The oldest request defines the batch's model and its deadline; only
-    // consecutive requests admitted under the same model snapshot may join
-    // (drain-on-old-model across hot reloads).
+    // Greedy batch: every queued request admitted under the oldest
+    // request's model snapshot (drain-on-old-model across hot reloads), up
+    // to max_batch, in admission order. No timer: whatever is queued now
+    // is the batch.
     const LoadedModel* batch_model = queue_.front().model.get();
-    const auto deadline =
-        queue_.front().admitted +
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double, std::milli>(options_.max_wait_ms));
-    auto same_model_prefix = [this, batch_model] {
-      size_t n = 0;
-      while (n < queue_.size() && queue_[n].model.get() == batch_model) ++n;
-      return n;
-    };
-    while (!stopping_ &&
-           same_model_prefix() < static_cast<size_t>(options_.max_batch)) {
-      if (queue_cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-        break;
-      }
-    }
-
-    const size_t take =
-        std::min(same_model_prefix(), static_cast<size_t>(options_.max_batch));
     std::vector<Pending> batch;
-    batch.reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
+    for (auto it = queue_.begin();
+         it != queue_.end() && batch.size() < max_batch;) {
+      if (it->model.get() != batch_model) {
+        ++it;
+        continue;
+      }
+      batch.push_back(std::move(*it));
+      it = queue_.erase(it);
     }
-    queue_depth_->Set(static_cast<double>(queue_.size()));
+    PublishQueueDepth();
     lock.unlock();
-    ExecuteBatch(std::move(batch), Clock::now());
+
+    const Clock::time_point batch_start = Clock::now();
+    if (injector.OnServeBatch()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(kSlowBatchStallMs));
+    }
+    // Formation-time deadline check: queue wait may have eaten the budget.
+    // An expired request is answered, never scored — scoring it anyway is
+    // how overloaded servers melt down.
+    const Clock::time_point now = Clock::now();
+    std::vector<Pending> live;
+    live.reserve(batch.size());
+    for (Pending& request : batch) {
+      if (now < request.deadline) {
+        live.push_back(std::move(request));
+        continue;
+      }
+      Finish(request,
+             Status::DeadlineExceeded(
+                 "deadline expired in queue after " +
+                 std::to_string(MsBetween(request.admitted, now)) + "ms"));
+    }
+    if (!live.empty()) ExecuteBatch(std::move(live), batch_start);
     lock.lock();
   }
 }
 
-void InferenceServer::ExecuteBatch(
-    std::vector<Pending> batch, std::chrono::steady_clock::time_point
-                                    batch_start) {
+void InferenceServer::ExecuteBatch(std::vector<Pending> batch,
+                                   Clock::time_point batch_start) {
   AMS_TRACE_SPAN("serve/batch");
-  if (batch.empty()) return;
   batches_->Increment();
   batch_size_->Observe(static_cast<double>(batch.size()));
 
@@ -322,7 +399,7 @@ void InferenceServer::ExecuteBatch(
   dataset.y.assign(static_cast<size_t>(k) * num_companies, 0.0);
   dataset.meta.resize(static_cast<size_t>(k) * num_companies);
   for (int b = 0; b < k; ++b) {
-    const la::Matrix& block = *batch[b].features;
+    const la::Matrix& block = batch[b].features();
     std::memcpy(dataset.x.row_data(b * num_companies), block.data(),
                 static_cast<size_t>(num_companies) * num_features *
                     sizeof(double));
@@ -351,16 +428,13 @@ void InferenceServer::ExecuteBatch(
   // serve/request span (tagged with the model version), which is what links
   // the caller and batcher lanes into one trace per request.
   const bool tracing = obs::TraceBuffer::Get().enabled();
-  const auto ms = [](Clock::time_point from, Clock::time_point to) {
-    return std::chrono::duration<double, std::milli>(to - from).count();
-  };
   const uint64_t version =
       static_cast<uint64_t>(batch.front().model->version);
   const auto now = Clock::now();
   for (int b = 0; b < k; ++b) {
-    queue_ms_->Observe(ms(batch[b].admitted, batch_start));
-    batch_form_ms_->Observe(ms(batch_start, predict_start));
-    compute_ms_->Observe(ms(predict_start, predict_end));
+    queue_ms_->Observe(MsBetween(batch[b].admitted, batch_start));
+    batch_form_ms_->Observe(MsBetween(batch_start, predict_start));
+    compute_ms_->Observe(MsBetween(predict_start, predict_end));
     if (tracing) {
       obs::RecordSpanWithParent("serve/queue", batch[b].trace,
                                 batch[b].admitted, batch_start, version);
@@ -369,18 +443,16 @@ void InferenceServer::ExecuteBatch(
       obs::RecordSpanWithParent("serve/compute", batch[b].trace,
                                 predict_start, predict_end, version);
     }
-    latency_ms_->Observe(ms(batch[b].admitted, now));
+    latency_ms_->Observe(MsBetween(batch[b].admitted, now));
     if (!predictions.ok()) {
-      requests_error_->Increment();
-      batch[b].promise.set_value(predictions.status());
+      Finish(batch[b], predictions.status());
       continue;
     }
     const std::vector<double>& all = predictions.ValueOrDie();
-    std::vector<double> scores(
-        all.begin() + static_cast<size_t>(b) * num_companies,
-        all.begin() + static_cast<size_t>(b + 1) * num_companies);
-    requests_ok_->Increment();
-    batch[b].promise.set_value(std::move(scores));
+    Finish(batch[b], std::vector<double>(
+                         all.begin() + static_cast<size_t>(b) * num_companies,
+                         all.begin() +
+                             static_cast<size_t>(b + 1) * num_companies));
   }
 }
 

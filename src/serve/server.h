@@ -1,12 +1,30 @@
-// In-process batched inference server over a fitted AMS model.
+// In-process batched inference server over a fitted AMS model, and the one
+// admission queue of the serving path.
 //
 // Callers score one quarter block at a time — an (num_companies x
 // num_features) feature matrix, rows ordered by company index, exactly the
 // per-quarter layout data::FeatureBuilder produces and AmsModel::Predict
-// consumes. Requests are admitted onto a queue and a single batcher thread
-// micro-batches them: up to `max_batch` consecutive requests against the
-// same model version are packed into one multi-quarter Dataset (one synthetic
-// quarter per request) and scored with a single AmsModel::Predict call.
+// consumes. Two thread roles touch a request:
+//
+//   admitting thread   Admit (network readers) or Score/ScoreBatch (blocking
+//                      callers) validates the request and runs ADMISSION
+//                      under the queue lock: no model / wrong shape ->
+//                      error, deadline already expired -> deadline, queue
+//                      at AMS_SERVE_QUEUE -> SHED (kUnavailable). A
+//                      rejected request is answered on the admitting
+//                      thread and never queued.
+//   batcher thread     whenever it is free, takes every queued request that
+//                      shares the oldest request's model snapshot, up to
+//                      `max_batch`, re-checks deadlines (an expired request
+//                      is answered kDeadlineExceeded, never scored), packs
+//                      the rest into one multi-quarter Dataset (one
+//                      synthetic quarter per request) and scores them with
+//                      a single AmsModel::Predict call.
+//
+// Batching is greedy, with no timer: a batch never waits for requests that
+// may not arrive; under load, batches form from the requests that arrived
+// while the previous batch computed. Every request's callback runs exactly
+// once, and this layer counts exactly one outcome per request.
 //
 // Because the master forward pass processes quarters independently and the
 // underlying GEMMs are bit-deterministic across AMS_THREADS (see src/par),
@@ -21,13 +39,14 @@
 // observed mid-batch. The old model is freed when its last in-flight
 // request completes.
 //
-// Observability: serve/requests{outcome=ok|shed|deadline|error} (this
-// layer emits ok and error; the network front in serve/net_server.h emits
-// shed and deadline on the same counter family), serve/batches,
-// serve/reloads, serve/reload_checks counters; serve/batch_size and
-// serve/latency_ms histograms (the latter feeds the p50/p95/p99 exit
-// report); serve/queue_depth and serve/model_version gauges; trace spans
-// serve/request (admission to completion) and serve/batch ->
+// Observability: serve/requests{outcome=ok|error|shed|deadline} (one
+// outcome per request), serve/batches, serve/reloads, serve/reload_checks
+// counters; serve/batch_size and serve/latency_ms histograms (the latter
+// feeds the p50/p95/p99 exit report); serve/queue_depth (also exported as
+// serve/net_queue_depth, the name the network front's SLOs use),
+// serve/shed_rate (lifetime shed fraction of admissions, the SLO hook:
+// AMS_SLO="serve/shed_rate:<0.2") and serve/model_version gauges; trace
+// spans serve/request (opened by the admitting caller) and serve/batch ->
 // serve/batch/predict on the batcher thread.
 //
 // Request causality: Admit captures the caller's obs::CurrentTraceContext()
@@ -40,13 +59,17 @@
 // events). The same intervals feed per-request phase histograms
 // serve/queue_ms / serve/batch_form_ms / serve/compute_ms, which sum to
 // serve/latency_ms minus the (tiny) response fan-out.
+//
+// Fault injection: slow_batch@serve=N (robust/faults.h) stalls the N-th
+// batch after it leaves the queue, so tests can hold the batcher busy on
+// schedule and fill or expire the queue behind it.
 #ifndef AMS_SERVE_SERVER_H_
 #define AMS_SERVE_SERVER_H_
 
 #include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <future>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -67,20 +90,31 @@ class Histogram;
 namespace ams::serve {
 
 struct ServerOptions {
-  /// Maximum requests packed into one Predict call (AMS_SERVE_BATCH).
-  int max_batch = 8;
-  /// How long the batcher holds an admitted request open for co-batching
-  /// before executing a partial batch (AMS_SERVE_MAX_WAIT_MS).
-  double max_wait_ms = 1.0;
+  /// Maximum requests packed into one Predict call (AMS_SERVE_BATCH). Each
+  /// batch size leaves its own packed blocks in the tensor buffer pool, and
+  /// beyond 4 the serve benchmark measured more peak memory but no more
+  /// throughput.
+  int max_batch = 4;
+  /// Bound on requests admitted but not yet taken by the batcher
+  /// (AMS_SERVE_QUEUE). Admissions beyond it are shed with kUnavailable.
+  int max_queue = 64;
 
-  /// Reads AMS_SERVE_BATCH / AMS_SERVE_MAX_WAIT_MS, keeping the defaults
-  /// for unset or unparseable values. A set-but-unparseable value logs one
+  /// Reads AMS_SERVE_BATCH / AMS_SERVE_QUEUE, keeping the defaults for
+  /// unset or unparseable values. A set-but-unparseable value logs one
   /// AMS_LOG warning naming the variable.
   static ServerOptions FromEnv();
 };
 
+/// The serve/requests outcome label of a request answered with `status`:
+/// "ok", "shed" (kUnavailable), "deadline" (kDeadlineExceeded) or "error".
+const char* RequestOutcome(const Status& status);
+
 class InferenceServer {
  public:
+  using Clock = std::chrono::steady_clock;
+  /// Receives a request's outcome: one score per company, or why not.
+  using Callback = std::function<void(Result<std::vector<double>>)>;
+
   explicit InferenceServer(ServerOptions options = ServerOptions::FromEnv());
   /// Drains every admitted request (scored on its admission-time model),
   /// then joins the batcher thread.
@@ -116,14 +150,21 @@ class InferenceServer {
   /// called by the destructor, which joins cleanly mid-interval.
   void StopReloadWatcher();
 
-  /// Scores one quarter block (num_companies x num_features, rows ordered
-  /// by company index). Blocks until the batcher has executed the request;
-  /// returns one normalized-UR score per company. `features` must stay
-  /// alive until this returns.
+  /// Admits one quarter block (num_companies x num_features, rows ordered
+  /// by company index) to be scored by `deadline` (Clock::time_point::max()
+  /// = none). `done` runs exactly once with the outcome: on the calling
+  /// thread, before Admit returns, when admission rejects the request;
+  /// otherwise on the batcher thread. It must not block for long: the
+  /// batcher answers a batch's requests one after another.
+  void Admit(la::Matrix features, Clock::time_point deadline, Callback done);
+
+  /// Blocking wrapper over admission: scores one block and waits for the
+  /// outcome. `features` must stay alive until this returns.
   Result<std::vector<double>> Score(const la::Matrix& features);
 
-  /// Admits every block, then waits for all of them; result i corresponds
-  /// to blocks[i]. Shape errors are reported per block, not globally.
+  /// Admits every block under one queue-lock hold, then waits for all of
+  /// them; result i corresponds to blocks[i]. Outcomes are per block (a
+  /// misshapen block or a full queue fails only the blocks it affects).
   std::vector<Result<std::vector<double>>> ScoreBatch(
       const std::vector<la::Matrix>& blocks);
 
@@ -146,28 +187,38 @@ class InferenceServer {
   };
 
   struct Pending {
-    const la::Matrix* features = nullptr;
+    la::Matrix owned;                  // Admit: the request owns its block
+    const la::Matrix* lent = nullptr;  // Score/ScoreBatch: the caller's
     std::shared_ptr<const LoadedModel> model;
-    std::chrono::steady_clock::time_point admitted;
+    Clock::time_point admitted;
+    Clock::time_point deadline = Clock::time_point::max();
     obs::TraceContext trace;  // caller's context at admission
-    std::promise<Result<std::vector<double>>> promise;
+    Callback done;
+
+    const la::Matrix& features() const {
+      return lent != nullptr ? *lent : owned;
+    }
   };
 
   Status InstallModel(core::AmsModel model);
 
-  /// Validates and enqueues one request; the returned future is fulfilled
-  /// by the batcher. An invalid future (valid() == false) means the request
-  /// was rejected at admission and `*rejected` holds why.
-  std::future<Result<std::vector<double>>> Admit(const la::Matrix& features,
-                                                 Status* rejected);
+  /// Runs admission for `requests` under one queue-lock hold, in order,
+  /// then answers the rejected ones outside the lock.
+  void Enqueue(std::vector<Pending> requests);
+  /// Blocking admission of borrowed blocks: waits for every outcome.
+  std::vector<Result<std::vector<double>>> ScoreBlocks(
+      const std::vector<const la::Matrix*>& blocks);
+  /// Counts the request's outcome and hands it to its callback.
+  void Finish(Pending& request, Result<std::vector<double>> result);
+  /// Sets serve/queue_depth and serve/net_queue_depth; queue_mu_ held.
+  void PublishQueueDepth();
 
   void BatchLoop();
   void ReloadWatchLoop(std::string path, double interval_ms);
   /// Scores one batch of same-model requests on the batcher thread and
-  /// fulfills their promises. `batch_start` is when the batcher took the
-  /// batch off the queue (end of each request's queue phase). Never throws.
-  void ExecuteBatch(std::vector<Pending> batch,
-                    std::chrono::steady_clock::time_point batch_start);
+  /// answers them. `batch_start` is when the batcher took the batch off the
+  /// queue (end of each request's queue phase). Never throws.
+  void ExecuteBatch(std::vector<Pending> batch, Clock::time_point batch_start);
 
   const ServerOptions options_;
 
@@ -179,6 +230,8 @@ class InferenceServer {
   std::condition_variable queue_cv_;
   std::deque<Pending> queue_;  // guarded by queue_mu_
   bool stopping_ = false;      // guarded by queue_mu_
+  uint64_t admissions_ = 0;    // guarded by queue_mu_ (shed-rate base)
+  uint64_t sheds_ = 0;         // guarded by queue_mu_
 
   // Reload watcher state (guarded by watch_mu_ except the thread itself).
   std::mutex watch_mu_;
@@ -186,13 +239,14 @@ class InferenceServer {
   bool watch_stop_ = false;
   std::thread watcher_;
 
-  obs::Counter* requests_ok_;
-  obs::Counter* requests_error_;
+  obs::Counter* requests_[4];  // serve/requests, by outcome
   obs::Counter* batches_;
   obs::Counter* reloads_;
   obs::Counter* reload_checks_;
   obs::Counter* reload_errors_;
   obs::Gauge* queue_depth_;
+  obs::Gauge* net_queue_depth_;
+  obs::Gauge* shed_rate_;
   obs::Gauge* model_version_gauge_;
   obs::Histogram* batch_size_;
   obs::Histogram* latency_ms_;

@@ -1,13 +1,14 @@
 // Network serving harness: AMSNET1 framing round-trips, socket end-to-end
 // golden parity against in-process scoring, deterministic admission-control
 // behaviour (shed on a full queue, deadline enforcement at admission and at
-// pickup), network fault injection with client-side retry recovery, the
-// mtime reload watcher, and FromEnv diagnostics.
+// batch formation), network fault injection with client-side retry
+// recovery, the mtime reload watcher, and FromEnv diagnostics.
 //
-// Determinism recipe for the admission tests: a single net worker over a
-// batcher configured with a long co-batching window (max_wait_ms) makes the
-// first in-flight request hold the worker for a known minimum time, so a
-// bounded queue behind it can be filled — and expired — on schedule.
+// Determinism recipe for the admission tests: slow_batch@serve=0 stalls the
+// batcher on the first batch, right after it left the queue. Once that
+// fault has fired (its robust/faults_injected counter moved), the bounded
+// queue behind the stalled batch can be filled — and expired — on
+// schedule.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -192,9 +193,7 @@ TEST(NetFraming, InfoRequestRoundTrip) {
 TEST_F(NetTest, SocketScoresAreBitIdenticalToInProcess) {
   InferenceServer inference{ServerOptions{}};
   ASSERT_TRUE(inference.LoadModel(FixtureModel()).ok());
-  NetServerOptions options;
-  options.num_workers = 2;
-  NetServer server(&inference, options);
+  NetServer server(&inference, NetServerOptions{});
   ASSERT_TRUE(server.Start().ok());
   ASSERT_GT(server.port(), 0);
 
@@ -233,44 +232,69 @@ TEST_F(NetTest, UnloadedModelAnswersCleanFailedPrecondition) {
 // Admission control: shed and deadline, deterministically.
 // ---------------------------------------------------------------------------
 
-/// Server whose one worker is guaranteed busy for >= max_wait_ms once a
-/// request is in flight: the batcher's co-batching window holds the lone
-/// request open, pinning the worker in Score.
+/// Server whose batcher stalls on its first batch (slow_batch@serve=0), so
+/// a request sent once the stall began waits in the admission queue.
 struct SlowRig {
-  explicit SlowRig(int max_queue, double wait_ms = 300.0) {
-    ServerOptions slow;
-    slow.max_batch = 8;  // never fills from one request -> full wait
-    slow.max_wait_ms = wait_ms;
-    inference = std::make_unique<InferenceServer>(slow);
-    inference->LoadModel(FixtureModel()).Abort("load");
-    NetServerOptions options;
-    options.num_workers = 1;
+  explicit SlowRig(int max_queue) {
+    robust::FaultInjector::Get().Configure("slow_batch@serve=0").Abort("arm");
+    ServerOptions options;
     options.max_queue = max_queue;
-    server = std::make_unique<NetServer>(inference.get(), options);
+    inference = std::make_unique<InferenceServer>(options);
+    inference->LoadModel(FixtureModel()).Abort("load");
+    server = std::make_unique<NetServer>(inference.get(), NetServerOptions{});
     server->Start().Abort("start");
   }
+
+  /// Sends one request from a background client and returns once the
+  /// batcher has taken it and stalled; the client expects it to score.
+  void OccupyBatcher() {
+    obs::Counter& stalls = obs::MetricsRegistry::Get().GetCounter(
+        "robust/faults_injected", {{"kind", "slow_batch"}});
+    const uint64_t before = stalls.value();
+    occupant = std::thread([this] {
+      NetClient c(server->port());
+      EXPECT_TRUE(c.Score(GetFixture().block).ok());
+    });
+    WaitFor([&] { return stalls.value() > before; });
+  }
+
+  /// Polls `done` for up to 10 s (the stall lasts far less).
+  template <typename Pred>
+  static void WaitFor(Pred done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE(done());
+  }
+
+  ~SlowRig() {
+    if (occupant.joinable()) occupant.join();
+    server->Stop();
+  }
+
   std::unique_ptr<InferenceServer> inference;
   std::unique_ptr<NetServer> server;
+  std::thread occupant;
 };
 
 TEST_F(NetTest, ShedsWithUnavailableWhenQueueIsFull) {
   SlowRig rig(/*max_queue=*/1);
-  obs::Counter& shed = obs::MetricsRegistry::Get().GetCounter(
-      "serve/requests", {{"outcome", "shed"}});
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
+  obs::Counter& shed =
+      registry.GetCounter("serve/requests", {{"outcome", "shed"}});
   const uint64_t shed_before = shed.value();
 
-  // First request occupies the worker for the full co-batch window; the
-  // second fills the queue; the third must be shed instantly.
-  std::thread first([&] {
-    NetClient c(rig.server->port());
-    EXPECT_TRUE(c.Score(GetFixture().block).ok());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  // The first request holds the stalled batcher; the second fills the
+  // one-slot queue; the third must be shed instantly.
+  rig.OccupyBatcher();
   std::thread second([&] {
     NetClient c(rig.server->port());
     EXPECT_TRUE(c.Score(GetFixture().block).ok());
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  obs::Gauge& depth = registry.GetGauge("serve/net_queue_depth");
+  SlowRig::WaitFor([&] { return depth.value() == 1.0; });
 
   NetClient overflow(rig.server->port());
   const auto start = std::chrono::steady_clock::now();
@@ -282,39 +306,33 @@ TEST_F(NetTest, ShedsWithUnavailableWhenQueueIsFull) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
   EXPECT_LT(waited_ms, 150.0);  // shed responses never wait for capacity
-  EXPECT_GE(shed.value(), shed_before + 1);
+  EXPECT_EQ(shed.value(), shed_before + 1);
 
-  first.join();
   second.join();
-  rig.server->Stop();
-  const double shed_rate =
-      obs::MetricsRegistry::Get().GetGauge("serve/shed_rate").value();
+  const double shed_rate = registry.GetGauge("serve/shed_rate").value();
   EXPECT_GT(shed_rate, 0.0);
   EXPECT_LE(shed_rate, 1.0);
 }
 
 TEST_F(NetTest, DeadlineExpiredInQueueIsAnsweredNotScored) {
   SlowRig rig(/*max_queue=*/4);
-  obs::Counter& deadline = obs::MetricsRegistry::Get().GetCounter(
-      "serve/requests", {{"outcome", "deadline"}});
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
+  obs::Counter& deadline =
+      registry.GetCounter("serve/requests", {{"outcome", "deadline"}});
+  obs::Counter& ok = registry.GetCounter("serve/requests", {{"outcome", "ok"}});
   const uint64_t deadline_before = deadline.value();
+  const uint64_t ok_before = ok.value();
 
-  std::thread first([&] {
-    NetClient c(rig.server->port());
-    EXPECT_TRUE(c.Score(GetFixture().block).ok());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-
-  // Queued behind ~240ms of remaining worker occupancy with a 50ms budget:
-  // must come back kDeadlineExceeded from the pickup-time check.
+  // Queued behind the stalled batch with a 50ms budget: it must come back
+  // kDeadlineExceeded from the check at batch formation, never scored.
+  rig.OccupyBatcher();
   NetClient expired(rig.server->port());
   auto result = expired.ScoreWithDeadline(GetFixture().block, 50);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_GE(deadline.value(), deadline_before + 1);
-
-  first.join();
-  rig.server->Stop();
+  EXPECT_EQ(deadline.value(), deadline_before + 1);
+  rig.occupant.join();
+  EXPECT_EQ(ok.value(), ok_before + 1);  // only the occupant was scored
 }
 
 TEST_F(NetTest, SlowPeerExpiresDeadlineAtAdmission) {
@@ -325,7 +343,7 @@ TEST_F(NetTest, SlowPeerExpiresDeadlineAtAdmission) {
 
   // The stall (50ms) lands between the frame's first byte and admission,
   // so a 10ms deadline is already dead on arrival — enforced WITHOUT
-  // occupying a worker or touching the model.
+  // queueing the request or touching the model.
   auto& injector = robust::FaultInjector::Get();
   ASSERT_TRUE(injector.Configure("slow_peer@net_read=0").ok());
   NetClient client(server.port());
@@ -397,12 +415,11 @@ TEST_F(NetTest, TransportFailureSurfacesAfterRetryBudget) {
 // ---------------------------------------------------------------------------
 
 TEST_F(NetTest, OverloadYieldsOnlyCleanStatusesAndSomeShedding) {
-  InferenceServer inference{ServerOptions{}};
-  ASSERT_TRUE(inference.LoadModel(FixtureModel()).ok());
-  NetServerOptions options;
-  options.num_workers = 1;
+  ServerOptions options;
   options.max_queue = 1;
-  NetServer server(&inference, options);
+  InferenceServer inference(options);
+  ASSERT_TRUE(inference.LoadModel(FixtureModel()).ok());
+  NetServer server(&inference, NetServerOptions{});
   ASSERT_TRUE(server.Start().ok());
 
   std::atomic<uint64_t> ok{0}, shed{0}, other{0};
@@ -514,7 +531,7 @@ TEST_F(NetTest, FromEnvWarnsOnceEachForUnparseableValues) {
   ::unsetenv("AMS_SERVE_DEADLINE_MS");
   ::unsetenv("AMS_SERVE_BATCH");
 
-  EXPECT_EQ(net.max_queue, NetServerOptions{}.max_queue);
+  EXPECT_EQ(srv.max_queue, ServerOptions{}.max_queue);
   EXPECT_EQ(net.default_deadline_ms, NetServerOptions{}.default_deadline_ms);
   EXPECT_EQ(srv.max_batch, ServerOptions{}.max_batch);
 

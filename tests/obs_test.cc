@@ -958,6 +958,13 @@ TEST(TraceTest, HostileSpanNamesRoundTripThroughChromeTrace) {
 
 TEST(PeriodicReporterTest, EmitsValidSelfContainedJsonlUnderConcurrency) {
   MetricsRegistry& registry = MetricsRegistry::Get();
+  const char* kModels[] = {"AMS", "Ridge", "XGBoost"};
+  // The first line is full and may be emitted before any worker has run:
+  // register the series the full-line checks below expect up front.
+  for (const char* model : kModels) {
+    registry.GetCounter("periodic_test/model_fit", {{"model", model}});
+  }
+  registry.GetHistogram("periodic_test/lat_ms");
 
   std::ostringstream stream;
   PeriodicReporter::Options options;
@@ -967,7 +974,6 @@ TEST(PeriodicReporterTest, EmitsValidSelfContainedJsonlUnderConcurrency) {
 
   std::atomic<bool> keep_running{true};
   std::vector<std::thread> workers;
-  const char* kModels[] = {"AMS", "Ridge", "XGBoost"};
   for (const char* model : kModels) {
     workers.emplace_back([model, &keep_running] {
       MetricsRegistry& reg = MetricsRegistry::Get();

@@ -131,6 +131,20 @@ TEST_F(RobustTest, NetworkQueryPointsFireAtCountedOrdinals) {
   EXPECT_FALSE(injector.OnNetWrite());
 }
 
+TEST_F(RobustTest, ServeBatchStallFiresAtCountedOrdinal) {
+  auto& injector = robust::FaultInjector::Get();
+  auto faults = robust::ParseFaultSpec("slow_batch@serve=1");
+  ASSERT_TRUE(faults.ok()) << faults.status();
+  EXPECT_EQ(faults.ValueOrDie()[0].kind, robust::FaultKind::kSlowBatch);
+  EXPECT_FALSE(robust::ParseFaultSpec("slow_batch@net_read=1").ok());
+
+  EXPECT_FALSE(injector.OnServeBatch());  // disarmed: only counts
+  ASSERT_TRUE(injector.Configure("slow_batch@serve=1").ok());  // resets it
+  EXPECT_FALSE(injector.OnServeBatch());
+  EXPECT_TRUE(injector.OnServeBatch());
+  EXPECT_FALSE(injector.OnServeBatch());  // one-shot
+}
+
 TEST_F(RobustTest, InjectorFiresEachFaultExactlyOnce) {
   auto& injector = robust::FaultInjector::Get();
   ASSERT_TRUE(injector.Configure("nan_grad@epoch=2").ok());

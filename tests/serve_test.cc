@@ -15,8 +15,10 @@
 // models exactly (drain-on-old-model, no torn reads).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +27,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -361,16 +364,20 @@ TEST(ServeGolden, ParityAcrossBatchSizesAndThreadCounts) {
   }
   EXPECT_EQ(golden_blocks, num_blocks);
 
-  // Server parity at every batch size and thread count.
+  // Server parity at every batch size and thread count. ScoreBatch admits
+  // all requests under one queue-lock hold, so the greedy batcher forms
+  // exactly floor(64 / max_batch) full batches plus one remainder batch.
   const int kRequests = 64;
+  obs::Histogram& batch_size =
+      obs::MetricsRegistry::Get().GetHistogram("serve/batch_size");
   for (int threads : {1, 8}) {
     par::SetDefaultParallelism(threads);
     for (int max_batch : {1, 7, 64}) {
       ServerOptions options;
       options.max_batch = max_batch;
-      options.max_wait_ms = max_batch > 1 ? 5.0 : 0.0;
       InferenceServer server(options);
       ASSERT_TRUE(server.LoadModel(ModelA()).ok());
+      batch_size.Reset();
 
       std::vector<la::Matrix> requests;
       requests.reserve(kRequests);
@@ -386,6 +393,18 @@ TEST(ServeGolden, ParityAcrossBatchSizesAndThreadCounts) {
             << "threads=" << threads << " max_batch=" << max_batch
             << " request=" << r;
       }
+      const uint64_t full = kRequests / max_batch;
+      const uint64_t batches = full + (kRequests % max_batch != 0 ? 1 : 0);
+      EXPECT_EQ(batch_size.count(), batches) << "max_batch=" << max_batch;
+      EXPECT_EQ(batch_size.sum(), kRequests) << "max_batch=" << max_batch;
+      // The full batches share the bucket holding max_batch (1 | 8 | 64);
+      // the remainder (64 % 7 = 1) lands below it.
+      const std::vector<double>& bounds = batch_size.bucket_bounds();
+      const size_t bucket =
+          std::lower_bound(bounds.begin(), bounds.end(), max_batch) -
+          bounds.begin();
+      EXPECT_EQ(batch_size.bucket_counts()[bucket], full)
+          << "max_batch=" << max_batch;
     }
   }
   par::SetDefaultParallelism(0);  // restore environment sizing
@@ -499,41 +518,139 @@ TEST(ServeServer, ReloadIfChangedSwapsOnlyOnFingerprintChange) {
   fs::remove(path);
 }
 
+/// Arms slow_batch@serve=0 and admits one request, returning once the
+/// batcher has taken it and stalled (kSlowBatchStallMs, 300 ms), so
+/// requests admitted next wait in the queue behind it. `done` receives the
+/// stalled request's outcome.
+void StallBatcher(InferenceServer* server, InferenceServer::Callback done) {
+  obs::Counter& stalls = obs::MetricsRegistry::Get().GetCounter(
+      "robust/faults_injected", {{"kind", "slow_batch"}});
+  const uint64_t before = stalls.value();
+  auto& injector = robust::FaultInjector::Get();
+  ASSERT_TRUE(injector.Configure("slow_batch@serve=0").ok());
+  server->Admit(GetFixture().blocks[0],
+                InferenceServer::Clock::time_point::max(), std::move(done));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (stalls.value() == before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(stalls.value(), before) << "the batcher never stalled";
+}
+
+/// Collects one Admit outcome for a test thread to wait on.
+struct Outcome {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::optional<Result<std::vector<double>>> result;
+
+  InferenceServer::Callback Callback() {
+    return [this](Result<std::vector<double>> r) {
+      std::lock_guard<std::mutex> lock(mu);
+      result = std::move(r);
+      cv.notify_all();
+    };
+  }
+  Result<std::vector<double>> Wait() {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [this] { return result.has_value(); });
+    return *result;
+  }
+};
+
 TEST(ServeServer, DrainsAdmittedRequestsOnShutdown) {
   const Fixture& fx = GetFixture();
-  ServerOptions options;
-  options.max_batch = 64;       // never filled by 8 requests...
-  options.max_wait_ms = 5000.0; // ...and the window far outlives the test:
-                                // only the destructor can release the batch
+  obs::Gauge& depth =
+      obs::MetricsRegistry::Get().GetGauge("serve/queue_depth");
   std::vector<std::thread> callers;
   std::atomic<int> drained{0};
+  Outcome stalled;
   {
-    InferenceServer server(options);
+    InferenceServer server{ServerOptions{}};
     ASSERT_TRUE(server.LoadModel(ModelA()).ok());
-    for (int i = 0; i < 8; ++i) {
+    StallBatcher(&server, stalled.Callback());
+    for (int i = 0; i < 7; ++i) {
       callers.emplace_back([&] {
         auto r = server.Score(fx.blocks[0]);
         EXPECT_TRUE(r.ok()) << r.status();
         if (r.ok()) drained.fetch_add(1);
       });
     }
-    // Wait until all 8 requests sit admitted in the queue (the gauge is
+    // Wait until all 7 sit admitted behind the stalled batch (the gauge is
     // updated under the queue lock), so no caller can touch the server
     // object after destruction begins.
-    obs::Gauge& depth =
-        obs::MetricsRegistry::Get().GetGauge("serve/queue_depth");
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (depth.value() < 8.0 &&
+    while (depth.value() < 7.0 &&
            std::chrono::steady_clock::now() < deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    ASSERT_EQ(depth.value(), 8.0) << "requests were not all admitted";
-    // Destructor runs here: it must cut the 5 s window short and score
-    // every admitted request before joining the batcher.
+    ASSERT_EQ(depth.value(), 7.0) << "requests were not all admitted";
+    // Destructor runs here: it must score every admitted request — the
+    // stalled one and the 7 queued behind it — before joining the batcher.
   }
   for (auto& t : callers) t.join();
-  EXPECT_EQ(drained.load(), 8);
+  EXPECT_TRUE(stalled.Wait().ok());
+  EXPECT_EQ(drained.load(), 7);
+  robust::FaultInjector::Get().Disarm();
+}
+
+TEST(ServeServer, DeadlineExpiredInQueueIsAnsweredAtBatchFormation) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
+  obs::Counter& deadline_count =
+      registry.GetCounter("serve/requests", {{"outcome", "deadline"}});
+  obs::Histogram& compute = registry.GetHistogram("serve/compute_ms");
+  const uint64_t deadline_before = deadline_count.value();
+  const uint64_t compute_before = compute.count();
+
+  InferenceServer server{ServerOptions{}};
+  ASSERT_TRUE(server.LoadModel(ModelA()).ok());
+  Outcome stalled, expired;
+  StallBatcher(&server, stalled.Callback());
+  // Alive at admission, dead long before the stalled batch lets the
+  // batcher form the next one.
+  server.Admit(GetFixture().blocks[1],
+               InferenceServer::Clock::now() + std::chrono::milliseconds(20),
+               expired.Callback());
+  const auto result = expired.Wait();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(result.status().message().find("in queue"), std::string::npos)
+      << result.status();
+  EXPECT_TRUE(stalled.Wait().ok());
+  EXPECT_EQ(deadline_count.value(), deadline_before + 1);
+  EXPECT_EQ(compute.count(), compute_before + 1);  // only the stalled one
+  robust::FaultInjector::Get().Disarm();
+}
+
+TEST(ServeServer, FullAdmissionQueueShedsWithUnavailable) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
+  obs::Counter& shed =
+      registry.GetCounter("serve/requests", {{"outcome", "shed"}});
+  obs::Counter& ok = registry.GetCounter("serve/requests", {{"outcome", "ok"}});
+  const uint64_t shed_before = shed.value();
+  const uint64_t ok_before = ok.value();
+
+  ServerOptions options;
+  options.max_queue = 2;
+  InferenceServer server(options);
+  ASSERT_TRUE(server.LoadModel(ModelA()).ok());
+  Outcome stalled;
+  StallBatcher(&server, stalled.Callback());
+  // Three blocks admitted at once behind the stalled batch: two fill the
+  // queue, the third is shed.
+  const std::vector<la::Matrix> blocks(3, GetFixture().blocks[0]);
+  const auto results = server.ScoreBatch(blocks);
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_TRUE(results[0].ok()) << results[0].status();
+  EXPECT_TRUE(results[1].ok()) << results[1].status();
+  ASSERT_FALSE(results[2].ok());
+  EXPECT_EQ(results[2].status().code(), StatusCode::kUnavailable);
+  EXPECT_TRUE(stalled.Wait().ok());
+  EXPECT_EQ(shed.value(), shed_before + 1);
+  EXPECT_EQ(ok.value(), ok_before + 3);
+  robust::FaultInjector::Get().Disarm();
 }
 
 TEST(ServeServer, HotReloadUnderLoadDrainsOnOldModel) {
@@ -549,7 +666,6 @@ TEST(ServeServer, HotReloadUnderLoadDrainsOnOldModel) {
 
   ServerOptions options;
   options.max_batch = 4;
-  options.max_wait_ms = 0.2;
   InferenceServer server(options);
   ASSERT_TRUE(server.LoadModel(ModelA()).ok());
 
@@ -664,7 +780,7 @@ TEST(ServeTrace, PhaseHistogramsSumToLatencyWithinFivePercent) {
 
   // Every request observes all three phases exactly once, and the phases
   // partition admission -> compute-done: only the response fan-out (a few
-  // promise writes) separates their sum from end-to-end latency.
+  // callback runs) separates their sum from end-to-end latency.
   const uint64_t n = latency.count();
   EXPECT_EQ(n, 24u);
   EXPECT_EQ(queue.count(), n);
@@ -694,7 +810,6 @@ TEST(ServeTrace, HotReloadUnderLoadKeepsVersionAttribution) {
   // recorded by the batcher must agree about the serving version.
   ServerOptions options;
   options.max_batch = 4;
-  options.max_wait_ms = 0.2;
   std::mutex map_mu;
   std::map<uint64_t, uint64_t> version_by_trace;
   std::atomic<bool> stop{false};
@@ -750,19 +865,19 @@ TEST(ServeTrace, HotReloadUnderLoadKeepsVersionAttribution) {
 
 TEST(ServeServer, OptionsFromEnvParsesAndClamps) {
   setenv("AMS_SERVE_BATCH", "32", 1);
-  setenv("AMS_SERVE_MAX_WAIT_MS", "2.5", 1);
+  setenv("AMS_SERVE_QUEUE", "5", 1);
   ServerOptions options = ServerOptions::FromEnv();
   EXPECT_EQ(options.max_batch, 32);
-  EXPECT_DOUBLE_EQ(options.max_wait_ms, 2.5);
+  EXPECT_EQ(options.max_queue, 5);
 
   setenv("AMS_SERVE_BATCH", "0", 1);        // below minimum: keep default
-  setenv("AMS_SERVE_MAX_WAIT_MS", "oops", 1);
+  setenv("AMS_SERVE_QUEUE", "oops", 1);
   options = ServerOptions::FromEnv();
   EXPECT_EQ(options.max_batch, ServerOptions{}.max_batch);
-  EXPECT_DOUBLE_EQ(options.max_wait_ms, ServerOptions{}.max_wait_ms);
+  EXPECT_EQ(options.max_queue, ServerOptions{}.max_queue);
 
   unsetenv("AMS_SERVE_BATCH");
-  unsetenv("AMS_SERVE_MAX_WAIT_MS");
+  unsetenv("AMS_SERVE_QUEUE");
 }
 
 }  // namespace

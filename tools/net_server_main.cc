@@ -9,11 +9,16 @@
 //   --port=N         overrides AMS_SERVE_PORT
 //   --watch=1        start the mtime reload watcher on the artifact path
 //
-// Admission control comes from the environment: AMS_SERVE_QUEUE (dispatch
-// queue bound), AMS_SERVE_DEADLINE_MS (default per-request deadline),
-// AMS_SERVE_WORKERS. Faults from AMS_FAULTS (conn_drop@accept,
-// torn_frame@net_read, slow_peer@net_read, conn_drop@net_write) exercise
-// the recovery paths. Telemetry per AMS_TELEMETRY / AMS_SLO.
+// One admission queue, two thread roles per scored request: a reader per
+// connection decodes each frame and admits it straight into the
+// InferenceServer's queue; its batcher scores greedy micro-batches and
+// writes the responses. Admission control comes from the environment:
+// AMS_SERVE_QUEUE (admission-queue bound; beyond it, shed),
+// AMS_SERVE_BATCH (micro-batch cap), AMS_SERVE_DEADLINE_MS (default
+// per-request deadline). Faults from AMS_FAULTS (conn_drop@accept,
+// torn_frame@net_read, slow_peer@net_read, conn_drop@net_write,
+// slow_batch@serve) exercise the recovery paths. Telemetry per
+// AMS_TELEMETRY / AMS_SLO.
 //
 // Prints one readiness line on stdout once serving:
 //
